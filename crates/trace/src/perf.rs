@@ -14,12 +14,14 @@
 //! * **Thread-local span stacks** — [`enter`] pushes a frame onto the
 //!   current thread's stack and returns a scope guard; dropping the guard
 //!   pops the frame and charges its elapsed time to a call-tree node
-//!   keyed by the full stack path. No lock is taken on enter/exit: each
-//!   thread aggregates into its own buffer.
+//!   keyed by the full stack path. No lock is taken on enter or on a
+//!   nested exit: each thread aggregates into its own buffer.
 //! * **Merged at drain** — a thread's buffer is flushed into a global
-//!   pool when the thread exits (scoped workers flush before their scope
-//!   ends); [`drain`] flushes the calling thread too, merges every
-//!   buffered call tree by path, and returns a [`PerfReport`].
+//!   pool whenever its outermost span ends, so a worker's frames are in
+//!   the pool before the worker's closure returns (a thread-exit
+//!   destructor alone is too late: `std::thread::scope` may return
+//!   before it runs). [`drain`] flushes the calling thread too, merges
+//!   every buffered call tree by path, and returns a [`PerfReport`].
 //! * **Zero cost when off** — the [`Prof`] trait mirrors the
 //!   `TraceSink`/`FaultModel` discipline: instrumented code is generic
 //!   over it, [`NoProf`] monomorphises to nothing (`ACTIVE = false`
@@ -36,7 +38,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -60,6 +62,11 @@ static LABELS: OnceLock<Mutex<LabelTable>> = OnceLock::new();
 
 /// Flushed per-thread buffers awaiting [`drain`].
 static POOL: OnceLock<Mutex<Vec<ThreadDump>>> = OnceLock::new();
+
+/// Number of [`drain`] calls so far: a thread's raw-span budget
+/// ([`RAW_SPAN_CAP`]) runs from one drain to the next, across however
+/// many flushes happen in between.
+static DRAINS: AtomicU64 = AtomicU64::new(0);
 
 /// Raw timeline spans kept per thread for the Chrome export. Aggregation
 /// (the call tree) is unbounded-safe; the raw timeline is capped so a
@@ -160,6 +167,9 @@ struct ThreadState {
     children: HashMap<(u32, u32), u32>,
     raw: Vec<RawSpan>,
     dropped: u64,
+    /// Raw spans kept since the drain numbered `raw_drain`.
+    raw_kept: usize,
+    raw_drain: u64,
 }
 
 impl ThreadState {
@@ -183,6 +193,8 @@ impl ThreadState {
             children: HashMap::new(),
             raw: Vec::new(),
             dropped: 0,
+            raw_kept: 0,
+            raw_drain: DRAINS.load(Ordering::Relaxed),
         }
     }
 
@@ -212,9 +224,11 @@ impl ThreadState {
         });
     }
 
-    fn end(&mut self) {
+    /// Closes the innermost frame; returns true when it was the
+    /// outermost one, i.e. the thread's buffer is ready to flush.
+    fn end(&mut self) -> bool {
         let Some(frame) = self.stack.pop() else {
-            return; // unbalanced guard (e.g. drained mid-span): ignore
+            return false; // unbalanced guard (e.g. drained mid-span): ignore
         };
         let total_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let node = &mut self.nodes[frame.node as usize];
@@ -225,7 +239,13 @@ impl ThreadState {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_ns += total_ns;
         }
-        if self.raw.len() < RAW_SPAN_CAP {
+        let drains = DRAINS.load(Ordering::Relaxed);
+        if self.raw_drain != drains {
+            self.raw_drain = drains;
+            self.raw_kept = 0;
+        }
+        if self.raw_kept < RAW_SPAN_CAP {
+            self.raw_kept += 1;
             let start_ns =
                 u64::try_from(frame.start.duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX);
             self.raw.push(RawSpan {
@@ -236,6 +256,7 @@ impl ThreadState {
         } else {
             self.dropped += 1;
         }
+        self.stack.is_empty()
     }
 
     /// Moves the buffered data out as a [`ThreadDump`], leaving the state
@@ -270,17 +291,24 @@ impl ThreadState {
     }
 }
 
-/// Thread-local wrapper whose drop flushes the buffer into the global
-/// pool, so scoped worker threads contribute automatically.
+/// Thread-local wrapper whose drop flushes whatever is still buffered
+/// (spans normally flush when the outermost one ends).
 struct TlsState(RefCell<ThreadState>);
 
-impl Drop for TlsState {
-    fn drop(&mut self) {
+impl TlsState {
+    /// Moves the buffered data into the global pool.
+    fn flush(&self) {
         if let Some(dump) = self.0.borrow_mut().take_dump() {
             if let Ok(mut pool) = pool().lock() {
                 pool.push(dump);
             }
         }
+    }
+}
+
+impl Drop for TlsState {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -314,7 +342,11 @@ impl Drop for PerfSpan {
     fn drop(&mut self) {
         if self.active {
             // `try_with`: guards may drop during thread teardown.
-            let _ = TLS.try_with(|tls| tls.0.borrow_mut().end());
+            let _ = TLS.try_with(|tls| {
+                if tls.0.borrow_mut().end() {
+                    tls.flush();
+                }
+            });
         }
     }
 }
@@ -449,13 +481,8 @@ pub struct PerfReport {
 /// into a [`PerfReport`], leaving the pool empty. The enabled flag is
 /// untouched.
 pub fn drain() -> PerfReport {
-    let _ = TLS.try_with(|tls| {
-        if let Some(dump) = tls.0.borrow_mut().take_dump() {
-            if let Ok(mut pool) = pool().lock() {
-                pool.push(dump);
-            }
-        }
-    });
+    let _ = TLS.try_with(TlsState::flush);
+    DRAINS.fetch_add(1, Ordering::Relaxed);
     let dumps: Vec<ThreadDump> = std::mem::take(&mut *pool().lock().expect("perf pool poisoned"));
     let names: Vec<String> = labels().lock().expect("label table poisoned").names.clone();
     merge(dumps, &names)
@@ -524,7 +551,16 @@ fn merge(dumps: Vec<ThreadDump>, names: &[String]) -> PerfReport {
         }
     }
     // Deterministic order: threads by name, roots and children by label.
+    // A thread flushes once per outermost span, so its dumps are joined
+    // back into one timeline (the stable sort keeps them in order).
     timelines.sort_by(|a, b| a.thread.cmp(&b.thread));
+    timelines.dedup_by(|later, earlier| {
+        let same = later.thread == earlier.thread;
+        if same {
+            earlier.raw.append(&mut later.raw);
+        }
+        same
+    });
     let resolve = |l: u32| names.get(l as usize).map(String::as_str).unwrap_or("?");
     // Emit depth-first with children sorted by descending total time.
     let mut roots: Vec<usize> = (0..merged.len())
@@ -766,6 +802,19 @@ mod tests {
             .find(|h| h.label == "shard")
             .expect("merged shard frames");
         assert_eq!(spot.count, 2, "both workers' frames merged");
+    }
+
+    #[test]
+    fn sequential_top_level_spans_share_one_timeline() {
+        let _g = guard();
+        reset();
+        enable();
+        drop(enter_named("first"));
+        drop(enter_named("second"));
+        disable();
+        let report = drain();
+        assert_eq!(report.timelines.len(), 1, "one flush per span, one track");
+        assert_eq!(report.timelines[0].raw.len(), 2);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! statements that report [`Effect`]s to the caller, so the simulator stays
 //! in control of time and communication.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Index;
@@ -241,25 +242,33 @@ impl Expr {
     /// Returns [`Error::Action`] for unbound variables/parameters, type
     /// mismatches, division by zero, and out-of-range accesses.
     pub fn eval(&self, env: &Env) -> Result<Value> {
+        self.eval_ref(env).map(Cow::into_owned)
+    }
+
+    /// Evaluates by reference: literals, variables and parameters are
+    /// borrowed rather than cloned, so reading a large buffer (`len(x)`,
+    /// `slice(x, a, b)`, `x == y`) copies at most the bytes the result
+    /// holds.
+    fn eval_ref<'a>(&'a self, env: &'a Env) -> Result<Cow<'a, Value>> {
         match self {
-            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
             Expr::Var(name) => env
                 .vars
                 .get(name)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| Error::Action(format!("unbound variable `{name}`"))),
             Expr::Param(name) => env
                 .params
                 .get(name)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| Error::Action(format!("unbound signal parameter `{name}`"))),
             Expr::Unary(op, e) => {
-                let v = e.eval(env)?;
+                let v = e.eval_ref(env)?;
                 match op {
-                    UnaryOp::Not => Ok(Value::Bool(!v.is_truthy())),
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        other => Err(Error::Action(format!(
+                    UnaryOp::Not => Ok(Cow::Owned(Value::Bool(!v.is_truthy()))),
+                    UnaryOp::Neg => match *v {
+                        Value::Int(i) => Ok(Cow::Owned(Value::Int(i.wrapping_neg()))),
+                        ref other => Err(Error::Action(format!(
                             "cannot negate {} value",
                             other.data_type()
                         ))),
@@ -269,24 +278,36 @@ impl Expr {
             Expr::Binary(op, lhs, rhs) => {
                 // Short-circuit logical ops before evaluating the rhs.
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let l = lhs.eval(env)?.is_truthy();
-                    return match (op, l) {
-                        (BinOp::And, false) => Ok(Value::Bool(false)),
-                        (BinOp::Or, true) => Ok(Value::Bool(true)),
-                        _ => Ok(Value::Bool(rhs.eval(env)?.is_truthy())),
+                    let l = lhs.eval_ref(env)?.is_truthy();
+                    let v = match (op, l) {
+                        (BinOp::And, false) => false,
+                        (BinOp::Or, true) => true,
+                        _ => rhs.eval_ref(env)?.is_truthy(),
                     };
+                    return Ok(Cow::Owned(Value::Bool(v)));
                 }
-                let l = lhs.eval(env)?;
-                let r = rhs.eval(env)?;
-                eval_binary(*op, l, r)
+                let l = lhs.eval_ref(env)?;
+                let r = rhs.eval_ref(env)?;
+                eval_binary(*op, l, &r).map(Cow::Owned)
             }
             Expr::Call(builtin, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(env)?);
-                }
-                eval_builtin(*builtin, &vals)
+                let vals = args
+                    .iter()
+                    .map(|a| a.eval_ref(env))
+                    .collect::<Result<Vec<_>>>()?;
+                eval_builtin(*builtin, &vals).map(Cow::Owned)
             }
+        }
+    }
+
+    /// True when the expression reads the process variable `name`.
+    fn mentions_var(&self, name: &str) -> bool {
+        match self {
+            Expr::Var(n) => n == name,
+            Expr::Lit(_) | Expr::Param(_) => false,
+            Expr::Unary(_, e) => e.mentions_var(name),
+            Expr::Binary(_, l, r) => l.mentions_var(name) || r.mentions_var(name),
+            Expr::Call(_, args) => args.iter().any(|a| a.mentions_var(name)),
         }
     }
 
@@ -312,27 +333,45 @@ impl Expr {
     }
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+/// Applies a binary operator. The lhs comes as a [`Cow`] so a chain
+/// `a + b + c` extends the owned intermediate buffer instead of copying
+/// it again at every step.
+fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: &Value) -> Result<Value> {
     use BinOp::*;
     match op {
-        Eq => return Ok(Value::Bool(l == r)),
-        Ne => return Ok(Value::Bool(l != r)),
+        Eq => return Ok(Value::Bool(*l == *r)),
+        Ne => return Ok(Value::Bool(*l != *r)),
         _ => {}
     }
     // `+` on two buffers/strings concatenates.
     if op == Add {
-        match (&l, &r) {
-            (Value::Bytes(a), Value::Bytes(b)) => {
-                let mut out = a.clone();
+        match (l, r) {
+            (Cow::Owned(Value::Bytes(mut a)), Value::Bytes(b)) => {
+                a.extend_from_slice(b);
+                return Ok(Value::Bytes(a));
+            }
+            (Cow::Borrowed(Value::Bytes(a)), Value::Bytes(b)) => {
+                let mut out = Vec::with_capacity(a.len() + b.len());
+                out.extend_from_slice(a);
                 out.extend_from_slice(b);
                 return Ok(Value::Bytes(out));
             }
-            (Value::Str(a), Value::Str(b)) => {
+            (Cow::Owned(Value::Str(mut a)), Value::Str(b)) => {
+                a.push_str(b);
+                return Ok(Value::Str(a));
+            }
+            (Cow::Borrowed(Value::Str(a)), Value::Str(b)) => {
                 return Ok(Value::Str(format!("{a}{b}")));
             }
-            _ => {}
+            (l, r) => return eval_arith(op, &l, r),
         }
     }
+    eval_arith(op, &l, r)
+}
+
+/// The integer operators (everything but `==`/`!=` and concatenation).
+fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+    use BinOp::*;
     let (a, b) = match (l.as_int(), r.as_int()) {
         (Some(a), Some(b)) => (a, b),
         _ => {
@@ -391,7 +430,7 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     !crc
 }
 
-fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value> {
+fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
     if args.len() != builtin.arity() {
         return Err(Error::Action(format!(
             "builtin `{}` expects {} arguments, got {}",
@@ -421,7 +460,7 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value> {
         })
     };
     match builtin {
-        Builtin::Len => match &args[0] {
+        Builtin::Len => match &*args[0] {
             Value::Bytes(b) => Ok(Value::Int(b.len() as i64)),
             Value::Str(s) => Ok(Value::Int(s.len() as i64)),
             other => Err(Error::Action(format!(
@@ -710,6 +749,14 @@ impl Scope {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
+    /// The buffer of a `Bytes` binding, for in-place updates.
+    fn bytes_mut(&mut self, name: &str) -> Option<&mut Vec<u8>> {
+        match self.entries.iter_mut().find(|(n, _)| n == name) {
+            Some((_, Value::Bytes(b))) => Some(b),
+            _ => None,
+        }
+    }
+
     /// Binds `name` to `value`, replacing an existing binding in place
     /// (the stored key is reused — no allocation for repeat names).
     pub fn set(&mut self, name: &str, value: Value) {
@@ -800,9 +847,11 @@ pub fn execute(
         *weight += 1;
         match statement {
             Statement::Assign { var, expr } => {
-                let v = expr.eval(env)?;
+                if !assign_in_place(var, expr, env) {
+                    let v = expr.eval(env)?;
+                    env.vars.set(var, v);
+                }
                 *weight += expr.weight();
-                env.vars.set(var, v);
             }
             Statement::Send { port, signal, args } => {
                 let mut values = Vec::with_capacity(args.len());
@@ -822,7 +871,7 @@ pub fn execute(
                 else_branch,
             } => {
                 *weight += cond.weight();
-                if cond.eval(env)?.is_truthy() {
+                if cond.eval_ref(env)?.is_truthy() {
                     execute(then_branch, env, effects, weight)?;
                 } else {
                     execute(else_branch, env, effects, weight)?;
@@ -836,7 +885,7 @@ pub fn execute(
                 let mut iterations = 0u32;
                 loop {
                     *weight += cond.weight();
-                    if !cond.eval(env)?.is_truthy() {
+                    if !cond.eval_ref(env)?.is_truthy() {
                         break;
                     }
                     if iterations >= *max_iter {
@@ -850,7 +899,7 @@ pub fn execute(
             }
             Statement::Compute { class, amount } => {
                 let units = amount
-                    .eval(env)?
+                    .eval_ref(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("compute amount must evaluate to Int".into()))?;
                 *weight += amount.weight();
@@ -867,7 +916,7 @@ pub fn execute(
                     rendered.push_str(&rest[..pos]);
                     match vals.next() {
                         Some(a) => {
-                            let v = a.eval(env)?;
+                            let v = a.eval_ref(env)?;
                             *weight += a.weight();
                             rendered.push_str(&v.to_string());
                         }
@@ -880,7 +929,7 @@ pub fn execute(
             }
             Statement::SetTimer { name, duration } => {
                 let d = duration
-                    .eval(env)?
+                    .eval_ref(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("timer duration must evaluate to Int".into()))?;
                 *weight += duration.weight();
@@ -894,7 +943,7 @@ pub fn execute(
             }
             Statement::Count { counter, amount } => {
                 let n = amount
-                    .eval(env)?
+                    .eval_ref(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("count amount must evaluate to Int".into()))?;
                 *weight += amount.weight();
@@ -906,6 +955,75 @@ pub fn execute(
         }
     }
     Ok(())
+}
+
+/// Runs `var := expr` in place when `var` holds `Bytes` and `expr` is
+/// one of the two self-update shapes the simulated protocols use on
+/// their queues:
+///
+/// * `var := var + e1 + … + en` (no `ei` mentions `var`): the buffer is
+///   extended, not rebuilt;
+/// * `var := slice(var, from, to)`: the buffer is cut down without
+///   copying the kept bytes into a new one.
+///
+/// Returns `false` with `env` untouched for every other shape and for
+/// any evaluation error or type mismatch, so the caller's generic path
+/// produces the value — or the error text — exactly as before.
+fn assign_in_place(var: &str, expr: &Expr, env: &mut Env) -> bool {
+    if env.vars.bytes_mut(var).is_none() {
+        return false;
+    }
+    match expr {
+        Expr::Binary(BinOp::Add, ..) => {
+            let mut tail = Vec::new();
+            let mut node = expr;
+            while let Expr::Binary(BinOp::Add, lhs, rhs) = node {
+                tail.push(&**rhs);
+                node = lhs;
+            }
+            if !matches!(node, Expr::Var(name) if name == var)
+                || tail.iter().any(|e| e.mentions_var(var))
+            {
+                return false;
+            }
+            // The operands never read `var`, so its buffer can be moved
+            // out while they evaluate and moved back afterwards.
+            let mut buf = std::mem::take(env.vars.bytes_mut(var).expect("checked above"));
+            let keep = buf.len();
+            let extended = tail.iter().rev().all(|e| match e.eval_ref(env).as_deref() {
+                Ok(Value::Bytes(b)) => {
+                    buf.extend_from_slice(b);
+                    true
+                }
+                _ => false,
+            });
+            if !extended {
+                buf.truncate(keep);
+            }
+            env.vars.set(var, Value::Bytes(buf));
+            extended
+        }
+        Expr::Call(Builtin::Slice, args) => {
+            let [Expr::Var(name), from, to] = &args[..] else {
+                return false;
+            };
+            if name != var {
+                return false;
+            }
+            let bound = |e: &Expr| e.eval_ref(env).ok().and_then(|v| v.as_int());
+            let (Some(from), Some(to)) = (bound(from), bound(to)) else {
+                return false;
+            };
+            let buf = env.vars.bytes_mut(var).expect("checked above");
+            let len = buf.len() as i64;
+            let from = from.clamp(0, len) as usize;
+            let to = to.clamp(from as i64, len) as usize;
+            buf.truncate(to);
+            buf.drain(..from);
+            true
+        }
+        _ => false,
+    }
 }
 
 /// Infers the static data type of an expression where possible (literals
@@ -1271,6 +1389,182 @@ mod tests {
     fn bytes_concat_via_plus() {
         let e = Expr::Lit(Value::Bytes(vec![1])).bin(BinOp::Add, Expr::Lit(Value::Bytes(vec![2])));
         assert_eq!(eval(&e), Value::Bytes(vec![1, 2]));
+    }
+
+    /// Runs `var := expr` through [`execute`] and through the generic
+    /// path (evaluate, then bind), checks that both agree on the outcome
+    /// (including the error text), the resulting bindings and the
+    /// weight, and returns whether [`execute`] updated `var` in place.
+    fn assign_both_ways(env: &Env, var: &str, expr: Expr) -> (bool, Result<Value>) {
+        let mut probe = env.clone();
+        let in_place = assign_in_place(var, &expr, &mut probe);
+        let statement = Statement::Assign {
+            var: var.into(),
+            expr: expr.clone(),
+        };
+        let mut fast = env.clone();
+        let mut weight = 0;
+        let got = execute(
+            std::slice::from_ref(&statement),
+            &mut fast,
+            &mut Vec::new(),
+            &mut weight,
+        );
+        let mut slow = env.clone();
+        let want = expr.eval(&slow).map(|v| slow.vars.set(var, v));
+        assert_eq!(got, want, "outcome of `{var} := {expr}`");
+        assert_eq!(fast.vars, slow.vars, "bindings after `{var} := {expr}`");
+        assert_eq!(fast.params, env.params);
+        if got.is_ok() {
+            assert_eq!(weight, 1 + expr.weight(), "weight of `{var} := {expr}`");
+        } else {
+            assert_eq!(fast.vars, env.vars, "a failed assignment changes nothing");
+        }
+        (in_place, got.map(|()| fast.vars[var].clone()))
+    }
+
+    fn bytes(b: &[u8]) -> Expr {
+        Expr::Lit(Value::Bytes(b.to_vec()))
+    }
+
+    fn slice_of(buf: Expr, from: Expr, to: Expr) -> Expr {
+        Expr::call(Builtin::Slice, vec![buf, from, to])
+    }
+
+    fn queue_env() -> Env {
+        Env::new()
+            .with_var("x", vec![1u8, 2, 3, 4, 5])
+            .with_var("y", vec![9u8])
+            .with_var("n", 7i64)
+            .with_param("p", vec![6u8, 7])
+    }
+
+    #[test]
+    fn append_chain_extends_in_place() {
+        let env = queue_env();
+        let e = Expr::var("x")
+            .bin(BinOp::Add, Expr::param("p"))
+            .bin(BinOp::Add, Expr::var("y"))
+            .bin(BinOp::Add, bytes(&[8]));
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(in_place);
+        assert_eq!(v, Ok(Value::Bytes(vec![1, 2, 3, 4, 5, 6, 7, 9, 8])));
+        // A right-nested operand is one `ei`, evaluated as a whole.
+        let e = Expr::var("x").bin(BinOp::Add, Expr::param("p").bin(BinOp::Add, Expr::var("y")));
+        assert!(assign_both_ways(&env, "x", e).0);
+    }
+
+    #[test]
+    fn append_chain_reading_the_target_takes_the_generic_path() {
+        let env = queue_env();
+        let e = Expr::var("x").bin(BinOp::Add, Expr::var("x"));
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(!in_place, "x := x + x aliases the buffer");
+        assert_eq!(v, Ok(Value::Bytes(vec![1, 2, 3, 4, 5, 1, 2, 3, 4, 5])));
+        let e = Expr::var("x").bin(
+            BinOp::Add,
+            slice_of(Expr::var("x"), Expr::int(0), Expr::int(2)),
+        );
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(!in_place, "the rhs mentions x");
+        assert_eq!(v, Ok(Value::Bytes(vec![1, 2, 3, 4, 5, 1, 2])));
+        // Not rooted at the target: `y + x` builds a new buffer.
+        let e = Expr::var("y").bin(BinOp::Add, Expr::var("x"));
+        assert!(!assign_both_ways(&env, "x", e).0);
+        // Another variable's chain is not a self-update.
+        let e = Expr::var("y").bin(BinOp::Add, Expr::param("p"));
+        assert!(!assign_both_ways(&env, "x", e).0);
+    }
+
+    #[test]
+    fn append_chain_errors_match_the_generic_path() {
+        let env = queue_env();
+        // The second operand has the wrong type after the first was
+        // already appended: the buffer must come back unchanged.
+        let e = Expr::var("x")
+            .bin(BinOp::Add, Expr::param("p"))
+            .bin(BinOp::Add, Expr::var("n"));
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(!in_place);
+        let err = v.unwrap_err().to_string();
+        assert!(
+            err.contains("requires integer operands, got Bytes and Int"),
+            "{err}"
+        );
+        let e = Expr::var("x").bin(BinOp::Add, Expr::Lit(Value::Str("s".into())));
+        assert!(assign_both_ways(&env, "x", e).1.is_err());
+        // Unbound parameter in the middle of the chain.
+        let e = Expr::var("x")
+            .bin(BinOp::Add, bytes(&[1]))
+            .bin(BinOp::Add, Expr::param("missing"));
+        let err = assign_both_ways(&env, "x", e).1.unwrap_err().to_string();
+        assert!(err.contains("unbound signal parameter `missing`"), "{err}");
+        // Target unbound or not Bytes: generic path, generic errors.
+        let e = Expr::var("z").bin(BinOp::Add, bytes(&[1]));
+        let err = assign_both_ways(&env, "z", e).1.unwrap_err().to_string();
+        assert!(err.contains("unbound variable `z`"), "{err}");
+        let e = Expr::var("n").bin(BinOp::Add, bytes(&[1]));
+        let (in_place, v) = assign_both_ways(&env, "n", e);
+        assert!(!in_place);
+        assert!(v.unwrap_err().to_string().contains("got Int and Bytes"));
+        let e = Expr::var("n").bin(BinOp::Add, Expr::int(1));
+        assert_eq!(assign_both_ways(&env, "n", e).1, Ok(Value::Int(8)));
+    }
+
+    #[test]
+    fn self_slice_is_cut_in_place_with_the_builtin_clamping() {
+        let env = queue_env();
+        for (from, to) in [
+            (1, 3),
+            (0, 5),
+            (-3, 2),
+            (2, 100),
+            (-7, 99),
+            (4, 1),
+            (9, 12),
+            (5, 5),
+        ] {
+            let e = slice_of(Expr::var("x"), Expr::int(from), Expr::int(to));
+            let (in_place, v) = assign_both_ways(&env, "x", e);
+            assert!(in_place, "slice(x, {from}, {to})");
+            assert!(v.is_ok());
+        }
+        // Bounds may read the target itself (the backlog pop does).
+        let e = slice_of(
+            Expr::var("x"),
+            Expr::int(2),
+            Expr::call(Builtin::Len, vec![Expr::var("x")]),
+        );
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(in_place);
+        assert_eq!(v, Ok(Value::Bytes(vec![3, 4, 5])));
+        // Slicing another buffer into the target is an ordinary assignment.
+        let e = slice_of(Expr::var("y"), Expr::int(0), Expr::int(1));
+        assert!(!assign_both_ways(&env, "x", e).0);
+    }
+
+    #[test]
+    fn self_slice_errors_match_the_generic_path() {
+        let env = queue_env();
+        let e = slice_of(Expr::var("x"), Expr::bool(true), Expr::int(2));
+        let (in_place, v) = assign_both_ways(&env, "x", e);
+        assert!(!in_place);
+        let err = v.unwrap_err().to_string();
+        assert!(
+            err.contains("builtin `slice` argument 1 must be Int, got Bool"),
+            "{err}"
+        );
+        let e = slice_of(Expr::var("x"), Expr::int(0), Expr::var("y"));
+        let err = assign_both_ways(&env, "x", e).1.unwrap_err().to_string();
+        assert!(err.contains("argument 2 must be Int, got Bytes"), "{err}");
+        let e = slice_of(Expr::var("x"), Expr::param("missing"), Expr::int(2));
+        let err = assign_both_ways(&env, "x", e).1.unwrap_err().to_string();
+        assert!(err.contains("unbound signal parameter `missing`"), "{err}");
+        let e = slice_of(Expr::var("n"), Expr::int(0), Expr::int(1));
+        let (in_place, v) = assign_both_ways(&env, "n", e);
+        assert!(!in_place);
+        let err = v.unwrap_err().to_string();
+        assert!(err.contains("argument 0 must be Bytes, got Int"), "{err}");
     }
 
     #[test]
