@@ -1,22 +1,21 @@
 //! The simulation performance baseline (experiment P1): event throughput
-//! of a TUTMAC run, serial-vs-parallel wall-clock of both a single run
-//! (the conservative kernel) and the fault-injection sweep, and a
-//! calendar-vs-heap scheduler microbench, written to `BENCH_sim.json` so
-//! the repository carries a recorded perf trajectory.
+//! of a TUTMAC run and serial-vs-parallel wall-clock of the
+//! fault-injection sweep, written to `BENCH_sim.json` so the repository
+//! carries a recorded perf trajectory.
 //!
-//! The `repro bench` item runs this; `--quick` shortens the horizons and
+//! The `repro bench` item runs this; `--quick` shortens the horizon and
 //! enforces a generous events/sec floor so CI catches a gross (>5x)
 //! throughput regression without being sensitive to machine noise.
 //!
-//! Every parallel measurement clamps its worker count to the host's
-//! logical CPUs: timing more workers than cores measures scheduler
-//! thrash, not the algorithm (an earlier recording did exactly that —
+//! The sweep measurement clamps its worker count to the host's logical
+//! CPUs: timing more workers than cores measures scheduler thrash, not
+//! the algorithm (an earlier recording did exactly that —
 //! `host.logical_cpus: 1` with `sweep.threads: 2` — and reported an
 //! oversubscription artefact as a "speedup" of 0.877).
 
 use std::time::Instant;
 
-use tut_sim::{EventQueue, ParallelStats, QueueKind, SimConfig, Simulation};
+use tut_sim::{SimConfig, Simulation};
 use tut_trace::{perf, Progress};
 
 use crate::faultsweep;
@@ -42,101 +41,6 @@ impl EventRate {
             0.0
         } else {
             self.records as f64 / self.wall_s
-        }
-    }
-}
-
-/// Wall-clock comparison of the serial engine and the conservative
-/// parallel kernel on one TUTMAC run (the `single_run_parallel` block of
-/// `BENCH_sim.json`).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ParallelTiming {
-    /// Simulated horizon of each run (ns).
-    pub horizon_ns: u64,
-    /// Best serial wall-clock over the repeats (seconds; run only, the
-    /// shared model build is excluded so the kernel is what's compared).
-    pub serial_s: f64,
-    /// Best parallel wall-clock over the repeats (seconds).
-    pub parallel_s: f64,
-    /// Worker threads the parallel runs used (clamped to host CPUs).
-    pub threads: usize,
-    /// Occupied logical processes the platform mapping induced.
-    pub lps: usize,
-    /// Conservative lookahead of the partition (ns).
-    pub lookahead_ns: u64,
-    /// True when every parallel log came out byte-identical to serial.
-    pub log_identical: bool,
-    /// Adaptive safe windows the kernel took (coordinator rounds).
-    pub windows: u64,
-    /// Safe windows a fixed `lookahead_ns` march over the same event
-    /// stream would have taken — the coalescing baseline.
-    pub windows_fixed_step: u64,
-    /// Window batches exchanged with workers (one message per shard per
-    /// dispatched window; idle shards are skipped).
-    pub batches: u64,
-}
-
-impl ParallelTiming {
-    /// Serial / parallel wall-clock ratio (>1 means the kernel won).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_s <= 0.0 {
-            0.0
-        } else {
-            self.serial_s / self.parallel_s
-        }
-    }
-
-    /// `windows_fixed_step / windows`: fixed-lookahead windows one
-    /// adaptive window replaced on average.
-    pub fn coalescing_factor(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.windows_fixed_step as f64 / self.windows as f64
-        }
-    }
-}
-
-/// Wall-clock comparison of the two event-queue disciplines on a
-/// synthetic hold-model workload (push one, pop one, at steady state).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SchedulerTiming {
-    /// Hold operations (pop + push pairs) each discipline executed.
-    pub events: u64,
-    /// Binary-heap wall-clock (seconds).
-    pub heap_s: f64,
-    /// Calendar-queue wall-clock (seconds).
-    pub calendar_s: f64,
-    /// Smallest probed hold-model size where the calendar queue matched
-    /// the heap (`None` when it never did, including at `events`).
-    pub crossover_events: Option<u64>,
-}
-
-impl SchedulerTiming {
-    /// Hold operations per second through the binary heap.
-    pub fn heap_events_per_sec(&self) -> f64 {
-        if self.heap_s <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / self.heap_s
-        }
-    }
-
-    /// Hold operations per second through the calendar queue.
-    pub fn calendar_events_per_sec(&self) -> f64 {
-        if self.calendar_s <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / self.calendar_s
-        }
-    }
-
-    /// Heap / calendar wall-clock ratio (>1 means the calendar won).
-    pub fn calendar_speedup(&self) -> f64 {
-        if self.calendar_s <= 0.0 {
-            0.0
-        } else {
-            self.heap_s / self.calendar_s
         }
     }
 }
@@ -188,7 +92,7 @@ pub struct HostInfo {
     /// Logical CPUs (`std::thread::available_parallelism`; 0 when the
     /// host cannot report it).
     pub logical_cpus: usize,
-    /// Worker threads the parallel measurements used.
+    /// Worker threads the parallel sweep was given.
     pub threads: usize,
 }
 
@@ -209,10 +113,6 @@ impl HostInfo {
 pub struct BenchReport {
     /// TUTMAC event-throughput measurement.
     pub rate: EventRate,
-    /// Serial vs conservative-parallel single-run measurement.
-    pub parallel: ParallelTiming,
-    /// Calendar-queue vs binary-heap scheduler microbench.
-    pub scheduler: SchedulerTiming,
     /// Fault-sweep wall-clock measurement (skipped in `--quick` mode).
     pub sweep: Option<SweepTiming>,
     /// The machine the figures were measured on.
@@ -222,8 +122,7 @@ pub struct BenchReport {
 /// Generous events/sec floor for `--quick` mode: an order of magnitude
 /// below the measured release-build throughput on a single container
 /// core, so only a >5x regression (the CI criterion) can trip it while
-/// machine noise cannot. The same floor guards the calendar-queue
-/// microbench (which runs far above it).
+/// machine noise cannot.
 pub const QUICK_FLOOR_EVENTS_PER_SEC: f64 = 50_000.0;
 
 /// Times one TUTMAC simulation (build + run) and returns the best of
@@ -271,151 +170,6 @@ pub fn measure_event_rate_observed(
     best.expect("at least one repeat ran")
 }
 
-/// Times the serial engine against the conservative parallel kernel on
-/// one TUTMAC run. Each side is best-of-`repeats`; only the run itself
-/// is timed (the model build is shared setup). Every parallel log is
-/// compared byte-for-byte against the serial log.
-///
-/// # Panics
-///
-/// Panics if a run fails (covered by the parallel-kernel tests).
-pub fn measure_parallel_single(horizon_ns: u64, threads: usize, repeats: usize) -> ParallelTiming {
-    measure_parallel_single_observed(horizon_ns, threads, repeats, &Progress::disabled())
-}
-
-/// [`measure_parallel_single`] with a progress heartbeat: every serial
-/// and parallel repeat ticks `progress` and opens a self-profiler frame.
-pub fn measure_parallel_single_observed(
-    horizon_ns: u64,
-    threads: usize,
-    repeats: usize,
-    progress: &Progress,
-) -> ParallelTiming {
-    let system = crate::paper_system();
-    let config = SimConfig::with_horizon_ns(horizon_ns);
-    let build =
-        || Simulation::from_system(&system, config.clone()).expect("sim builds for parallel bench");
-    let plan = build().parallel_plan();
-
-    let mut serial_s = f64::INFINITY;
-    let mut serial_log: Option<String> = None;
-    for _ in 0..repeats.max(1) {
-        let _span = perf::enter_named("bench.single_serial");
-        let sim = build();
-        let started = Instant::now();
-        let report = sim.run().expect("serial bench run");
-        serial_s = serial_s.min(started.elapsed().as_secs_f64());
-        progress.tick();
-        serial_log.get_or_insert_with(|| report.log.to_text());
-    }
-    let serial_log = serial_log.expect("at least one serial repeat ran");
-
-    let mut parallel_s = f64::INFINITY;
-    let mut log_identical = true;
-    let mut stats = ParallelStats::default();
-    for _ in 0..repeats.max(1) {
-        let _span = perf::enter_named("bench.single_parallel");
-        let sim = build();
-        let started = Instant::now();
-        let (report, run_stats) = sim.run_parallel_stats(threads).expect("parallel bench run");
-        parallel_s = parallel_s.min(started.elapsed().as_secs_f64());
-        progress.tick();
-        log_identical &= report.log.to_text() == serial_log;
-        // The kernel is deterministic, so every repeat reports the same
-        // window counts; keep the last.
-        stats = run_stats;
-    }
-
-    ParallelTiming {
-        horizon_ns,
-        serial_s,
-        parallel_s,
-        threads,
-        lps: plan.occupied_lps,
-        lookahead_ns: plan.lookahead_ns,
-        log_identical,
-        windows: stats.windows,
-        windows_fixed_step: stats.windows_fixed_step,
-        batches: stats.batches,
-    }
-}
-
-/// Times `events` hold operations (pop one, push one at steady state)
-/// through both event-queue disciplines on an identical pseudo-random
-/// workload.
-pub fn measure_scheduler(events: u64) -> SchedulerTiming {
-    measure_scheduler_observed(events, &Progress::disabled())
-}
-
-/// [`measure_scheduler`] with a progress heartbeat: each discipline
-/// ticks `progress` once when its timed loop finishes.
-pub fn measure_scheduler_observed(events: u64, progress: &Progress) -> SchedulerTiming {
-    let time = |kind: QueueKind| -> f64 {
-        let _span = perf::enter_named("bench.scheduler");
-        let wall_s = hold_model_time(kind, events);
-        progress.tick();
-        wall_s
-    };
-    let heap_s = time(QueueKind::Heap);
-    let calendar_s = time(QueueKind::Calendar);
-    // Crossover probe: walk a doubling ladder of smaller hold-model
-    // sizes and record the first where the calendar matches the heap
-    // (best-of-3 per side, the sizes are tiny). The main measurement
-    // above settles the ladder's top rung.
-    let mut crossover_events = None;
-    for size in [1_000u64, 4_000, 16_000, 64_000] {
-        if size >= events {
-            break;
-        }
-        let best = |kind: QueueKind| -> f64 {
-            (0..3)
-                .map(|_| hold_model_time(kind, size))
-                .fold(f64::INFINITY, f64::min)
-        };
-        if best(QueueKind::Calendar) <= best(QueueKind::Heap) {
-            crossover_events = Some(size);
-            break;
-        }
-    }
-    if crossover_events.is_none() && calendar_s <= heap_s {
-        crossover_events = Some(events);
-    }
-    SchedulerTiming {
-        events,
-        heap_s,
-        calendar_s,
-        crossover_events,
-    }
-}
-
-/// One timed hold-model pass (pop one, push one, at steady state) of
-/// `events` operations through `kind`.
-fn hold_model_time(kind: QueueKind, events: u64) -> f64 {
-    // SplitMix64: the same deterministic increment stream for both
-    // disciplines, so the comparison is apples to apples.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut queue: EventQueue<u32> = EventQueue::new(kind);
-    let mut seq = 0u64;
-    let started = Instant::now();
-    for i in 0..4096u32 {
-        queue.push(next() % 1_000_000, seq, i);
-        seq += 1;
-    }
-    for _ in 0..events {
-        let (now_ns, _, item) = queue.pop().expect("hold model never drains");
-        queue.push(now_ns + 1 + next() % 50_000, seq, item);
-        seq += 1;
-    }
-    started.elapsed().as_secs_f64()
-}
-
 /// Times the fault sweep serial and on `threads` workers
 /// (`requested_threads` records the pre-clamp ask).
 pub fn measure_sweep(horizon_ns: u64, threads: usize, requested_threads: usize) -> SweepTiming {
@@ -460,19 +214,18 @@ pub fn measure_sweep_observed(
 }
 
 /// Work units [`run_bench`] ticks on a progress meter: throughput
-/// repeats, single-run serial+parallel repeats, the two scheduler
-/// disciplines, plus (full mode) both sweep passes' BER points.
+/// repeats plus (full mode) both sweep passes' BER points.
 pub fn bench_progress_total(quick: bool) -> u64 {
     if quick {
-        3 + 2 + 2
+        3
     } else {
-        5 + 4 + 2 + 2 * faultsweep::SWEEP_BERS.len() as u64
+        5 + 2 * faultsweep::SWEEP_BERS.len() as u64
     }
 }
 
-/// Resolves the worker-thread budget for the parallel measurements:
+/// Resolves the worker-thread budget for the sweep measurement:
 /// `threads` as asked (0 = all cores, <=1 defaults to 2 so the parallel
-/// paths are exercised), clamped to the host's logical CPU count. The
+/// sweep is exercised), clamped to the host's logical CPU count. The
 /// second value is the pre-clamp request.
 pub fn bench_workers(threads: usize) -> (usize, usize) {
     let logical = std::thread::available_parallelism()
@@ -497,16 +250,12 @@ pub fn run_bench_observed(quick: bool, threads: usize, progress: &Progress) -> B
     if quick {
         BenchReport {
             rate: measure_event_rate_observed(5_000_000, 3, progress),
-            parallel: measure_parallel_single_observed(5_000_000, workers, 1, progress),
-            scheduler: measure_scheduler_observed(100_000, progress),
             sweep: None,
             host,
         }
     } else {
         BenchReport {
             rate: measure_event_rate_observed(20_000_000, 5, progress),
-            parallel: measure_parallel_single_observed(20_000_000, workers, 2, progress),
-            scheduler: measure_scheduler_observed(400_000, progress),
             sweep: Some(measure_sweep_observed(
                 5_000_000, workers, requested, progress,
             )),
@@ -530,41 +279,6 @@ pub fn render(report: &BenchReport) -> String {
         r.horizon_ns / 1_000_000,
         r.wall_s * 1e3,
         r.events_per_sec(),
-    ));
-    let p = &report.parallel;
-    out.push_str(&format!(
-        "single-run parallel ({} LPs, lookahead {} ns, {} threads): serial {:.1} ms, parallel {:.1} ms -> {:.2}x\n",
-        p.lps,
-        p.lookahead_ns,
-        p.threads,
-        p.serial_s * 1e3,
-        p.parallel_s * 1e3,
-        p.speedup(),
-    ));
-    out.push_str(&format!(
-        "parallel single-run log_identical={}\n",
-        p.log_identical,
-    ));
-    out.push_str(&format!(
-        "coalescing: {} fixed-step windows -> {} adaptive windows ({:.0}x), {} batches\n",
-        p.windows_fixed_step,
-        p.windows,
-        p.coalescing_factor(),
-        p.batches,
-    ));
-    let q = &report.scheduler;
-    let crossover_note = match q.crossover_events {
-        Some(n) => format!(", crossover at {n} events"),
-        None => String::from(", no crossover"),
-    };
-    out.push_str(&format!(
-        "scheduler hold-model ({} events): heap {:.1} ms, calendar {:.1} ms -> calendar {:.0} events/sec ({:.2}x vs heap{})\n",
-        q.events,
-        q.heap_s * 1e3,
-        q.calendar_s * 1e3,
-        q.calendar_events_per_sec(),
-        q.calendar_speedup(),
-        crossover_note,
     ));
     if let Some(s) = &report.sweep {
         let clamp_note = if s.fallback.is_some() {
@@ -592,54 +306,18 @@ pub fn render(report: &BenchReport) -> String {
 /// (hand-rolled JSON; the workspace has no serde).
 pub fn to_json(report: &BenchReport) -> String {
     let r = &report.rate;
-    let mut out = String::from("{\n  \"schema\": \"tut-bench/sim/v4\",\n");
+    let mut out = String::from("{\n  \"schema\": \"tut-bench/sim/v5\",\n");
     out.push_str(&format!(
         "  \"host\": {{\n    \"logical_cpus\": {},\n    \"threads\": {}\n  }},\n",
         report.host.logical_cpus, report.host.threads,
     ));
     out.push_str(&format!(
-        "  \"tutmac\": {{\n    \"horizon_ns\": {},\n    \"records\": {},\n    \"steps\": {},\n    \"wall_s\": {:.6},\n    \"events_per_sec\": {:.1}\n  }},\n",
+        "  \"tutmac\": {{\n    \"horizon_ns\": {},\n    \"records\": {},\n    \"steps\": {},\n    \"wall_s\": {:.6},\n    \"events_per_sec\": {:.1}\n  }}",
         r.horizon_ns,
         r.records,
         r.steps,
         r.wall_s,
         r.events_per_sec(),
-    ));
-    let p = &report.parallel;
-    out.push_str(&format!(
-        "  \"single_run_parallel\": {{\n    \"horizon_ns\": {},\n    \"serial_s\": {:.6},\n    \"parallel_s\": {:.6},\n    \"threads\": {},\n    \"lps\": {},\n    \"lookahead_ns\": {},\n    \"log_identical\": {},\n    \"speedup\": {:.3}\n  }},\n",
-        p.horizon_ns,
-        p.serial_s,
-        p.parallel_s,
-        p.threads,
-        p.lps,
-        p.lookahead_ns,
-        p.log_identical,
-        p.speedup(),
-    ));
-    out.push_str(&format!(
-        "  \"window_batching\": {{\n    \"threads\": {},\n    \"windows\": {},\n    \"batches\": {}\n  }},\n",
-        p.threads, p.windows, p.batches,
-    ));
-    out.push_str(&format!(
-        "  \"coalescing\": {{\n    \"windows_before\": {},\n    \"windows_after\": {},\n    \"factor\": {:.1}\n  }},\n",
-        p.windows_fixed_step,
-        p.windows,
-        p.coalescing_factor(),
-    ));
-    let q = &report.scheduler;
-    let crossover = match q.crossover_events {
-        Some(n) => n.to_string(),
-        None => String::from("null"),
-    };
-    out.push_str(&format!(
-        "  \"scheduler\": {{\n    \"events\": {},\n    \"heap_s\": {:.6},\n    \"calendar_s\": {:.6},\n    \"heap_events_per_sec\": {:.1},\n    \"calendar_events_per_sec\": {:.1},\n    \"crossover_events\": {}\n  }}",
-        q.events,
-        q.heap_s,
-        q.calendar_s,
-        q.heap_events_per_sec(),
-        q.calendar_events_per_sec(),
-        crossover,
     ));
     if let Some(s) = &report.sweep {
         let fallback = match s.fallback {
@@ -676,24 +354,6 @@ mod tests {
                 records: 10,
                 steps: 5,
                 wall_s: 0.001,
-            },
-            parallel: ParallelTiming {
-                horizon_ns: 1_000_000,
-                serial_s: 0.004,
-                parallel_s: 0.002,
-                threads: 2,
-                lps: 2,
-                lookahead_ns: 1000,
-                log_identical: true,
-                windows: 100,
-                windows_fixed_step: 1000,
-                batches: 150,
-            },
-            scheduler: SchedulerTiming {
-                events: 1000,
-                heap_s: 0.002,
-                calendar_s: 0.001,
-                crossover_events: Some(1000),
             },
             sweep: Some(SweepTiming {
                 horizon_ns: 1_000_000,
@@ -746,15 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_scheduler_arithmetic() {
-        let report = sample_report();
-        assert!((report.parallel.speedup() - 2.0).abs() < 1e-12);
-        assert!((report.scheduler.calendar_speedup() - 2.0).abs() < 1e-12);
-        assert!((report.scheduler.heap_events_per_sec() - 500_000.0).abs() < 1e-6);
-        assert!((report.scheduler.calendar_events_per_sec() - 1_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn bench_workers_never_exceed_host_cpus() {
         let logical = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -773,67 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_microbench_runs_both_disciplines() {
-        let timing = measure_scheduler(2000);
-        assert_eq!(timing.events, 2000);
-        assert!(timing.heap_s > 0.0);
-        assert!(timing.calendar_s > 0.0);
-    }
-
-    #[test]
     fn json_shape_is_parseable() {
         let report = sample_report();
         let text = to_json(&report);
         let json = tut_trace::json::parse(&text).expect("valid JSON");
         assert_eq!(
             json.get("schema").and_then(tut_trace::json::Json::as_str),
-            Some("tut-bench/sim/v4"),
+            Some("tut-bench/sim/v5"),
         );
         assert!(json
             .get("tutmac")
             .and_then(|t| t.get("events_per_sec"))
             .and_then(tut_trace::json::Json::as_f64)
             .is_some());
-        let parallel = json.get("single_run_parallel").expect("parallel block");
-        assert_eq!(
-            parallel.get("log_identical"),
-            Some(&tut_trace::json::Json::Bool(true)),
-        );
-        assert_eq!(
-            parallel.get("lps").and_then(tut_trace::json::Json::as_f64),
-            Some(2.0),
-        );
-        let batching = json.get("window_batching").expect("window_batching block");
-        assert_eq!(
-            batching
-                .get("batches")
-                .and_then(tut_trace::json::Json::as_f64),
-            Some(150.0),
-        );
-        let coalescing = json.get("coalescing").expect("coalescing block");
-        assert_eq!(
-            coalescing
-                .get("windows_before")
-                .and_then(tut_trace::json::Json::as_f64),
-            Some(1000.0),
-        );
-        assert_eq!(
-            coalescing
-                .get("factor")
-                .and_then(tut_trace::json::Json::as_f64),
-            Some(10.0),
-        );
-        let scheduler = json.get("scheduler").expect("scheduler block");
-        assert!(scheduler
-            .get("calendar_events_per_sec")
-            .and_then(tut_trace::json::Json::as_f64)
-            .is_some());
-        assert_eq!(
-            scheduler
-                .get("crossover_events")
-                .and_then(tut_trace::json::Json::as_f64),
-            Some(1000.0),
-        );
         let sweep = json.get("sweep").expect("sweep block");
         assert_eq!(
             sweep.get("oversubscribed"),

@@ -751,129 +751,6 @@ impl SimLog {
         }
     }
 
-    /// Number of stored records (cheaper than [`SimLog::iter`] for the
-    /// parallel kernel's per-event bookkeeping).
-    pub(crate) fn records_len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Maps a symbol of `other` into this log's interner, memoising in
-    /// `remap` (indexed by the source symbol).
-    fn map_sym(&mut self, other: &SimLog, remap: &mut Vec<Option<Sym>>, sym: Sym) -> Sym {
-        if let Some(Some(mapped)) = remap.get(sym.index()) {
-            return *mapped;
-        }
-        let mapped = self.interner.intern(other.interner.resolve(sym));
-        if remap.len() <= sym.index() {
-            remap.resize(sym.index() + 1, None);
-        }
-        remap[sym.index()] = Some(mapped);
-        mapped
-    }
-
-    /// Appends `other.records[start..end]` to this log, re-interning
-    /// every name through `remap`. This is the parallel kernel's log
-    /// merge: per-LP logs (whose interners start as clones of the same
-    /// build-time table and diverge only on cold paths) are stitched
-    /// into one log in global event order.
-    pub(crate) fn extend_remapped(
-        &mut self,
-        other: &SimLog,
-        start: usize,
-        end: usize,
-        remap: &mut Vec<Option<Sym>>,
-    ) {
-        for index in start..end {
-            let record = other.records[index];
-            let mapped = match record {
-                CompactRecord::Exec {
-                    time_ns,
-                    process,
-                    cycles,
-                    duration_ns,
-                    from_state,
-                    to_state,
-                    trigger,
-                } => CompactRecord::Exec {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    cycles,
-                    duration_ns,
-                    from_state: self.map_sym(other, remap, from_state),
-                    to_state: self.map_sym(other, remap, to_state),
-                    trigger: self.map_sym(other, remap, trigger),
-                },
-                CompactRecord::Sig {
-                    time_ns,
-                    sender,
-                    receiver,
-                    signal,
-                    bytes,
-                    latency_ns,
-                } => CompactRecord::Sig {
-                    time_ns,
-                    sender: self.map_sym(other, remap, sender),
-                    receiver: self.map_sym(other, remap, receiver),
-                    signal: self.map_sym(other, remap, signal),
-                    bytes,
-                    latency_ns,
-                },
-                CompactRecord::Drop {
-                    time_ns,
-                    process,
-                    signal,
-                } => CompactRecord::Drop {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::Lost {
-                    time_ns,
-                    process,
-                    port,
-                    signal,
-                } => CompactRecord::Lost {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    port: self.map_sym(other, remap, port),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::User {
-                    time_ns,
-                    process,
-                    message,
-                } => CompactRecord::User {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    message: self.map_sym(other, remap, message),
-                },
-                CompactRecord::Fault {
-                    time_ns,
-                    process,
-                    kind,
-                    signal,
-                } => CompactRecord::Fault {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    kind: self.map_sym(other, remap, kind),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::Count {
-                    time_ns,
-                    process,
-                    counter,
-                    amount,
-                } => CompactRecord::Count {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    counter: self.map_sym(other, remap, counter),
-                    amount,
-                },
-            };
-            self.push_compact(mapped);
-        }
-    }
-
     /// Appends one interned record, maintaining the incremental tallies
     /// and the exact text length.
     fn push_compact(&mut self, record: CompactRecord) {

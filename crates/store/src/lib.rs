@@ -29,7 +29,7 @@
 //!   the same directory, fsync, rename) for non-append artefacts such as
 //!   `BENCH_sim.json`.
 //!
-//! See `DESIGN.md` §12 for the record format and the recovery rules.
+//! See `DESIGN.md` §11 for the record format and the recovery rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,7 +11,7 @@
 
 use tut_faults::{FaultConfig, FaultPlan};
 use tut_query::Fp;
-use tut_sim::{SimConfig, SimReport, Simulation};
+use tut_sim::{RecordRef, SimConfig, SimReport, Simulation};
 use tut_trace::NoopSink;
 use tutmac::{build_tutmac_system, TutmacConfig};
 
@@ -52,6 +52,40 @@ fn run(fault_config: FaultConfig) -> SimReport {
         .expect("sim builds")
         .run_with_faults(&mut plan, &mut NoopSink)
         .expect("sim runs")
+}
+
+/// Records that share their timestamp with the record before them, and
+/// the subset that are run-to-completion steps following an earlier step
+/// at the same instant. The engine runs one step per popped event, so
+/// every record of the second kind is an event whose place among
+/// same-time events came from the `(time, seq)` tie-break.
+fn same_instant(report: &SimReport) -> (usize, usize) {
+    let mut records = 0;
+    let mut steps = 0;
+    let mut prev_time = None;
+    let mut last_step_time = None;
+    for record in report.log.iter() {
+        let time = record.time_ns();
+        if prev_time == Some(time) {
+            records += 1;
+        }
+        if matches!(record, RecordRef::Exec { .. }) {
+            if last_step_time == Some(time) {
+                steps += 1;
+            }
+            last_step_time = Some(time);
+        }
+        prev_time = Some(time);
+    }
+    (records, steps)
+}
+
+/// The log-fingerprint pin of the fault-free run only guards the event
+/// order if the run actually has same-instant events to order.
+#[test]
+fn fault_free_200ms_log_has_same_instant_ties() {
+    let report = run(FaultConfig::default());
+    assert_eq!(same_instant(&report), (3_554, 135));
 }
 
 #[test]

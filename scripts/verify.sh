@@ -14,20 +14,11 @@ quick=0
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (facade + every crate, incl. tests/exploration.rs and tests/faults.rs)"
 cargo test -q
-
-echo "==> cargo test -q --test exploration (parallel == serial properties)"
-cargo test -q --test exploration
 
 echo "==> repro --threads 2 explore (parallel path smoke run)"
 cargo run --release -q -p tut-bench --bin repro -- --threads 2 explore
-
-echo "==> cargo test -q --test faults (fault-injection determinism + ARQ contract)"
-cargo test -q --test faults
-
-echo "==> cargo test -q --test parallel (conservative kernel: parallel == serial logs)"
-cargo test -q --test parallel
 
 echo "==> repro fault-sweep --quick (reliability smoke point)"
 cargo run --release -q -p tut-bench --bin repro -- fault-sweep --quick
@@ -52,17 +43,8 @@ if ! grep -q "within pinned band" <<< "$resume_out"; then
     echo "repro fault-sweep --resume: resumed table left the pinned band"; exit 1;
 fi
 
-echo "==> repro bench --quick (throughput + calendar floors, log identity, coalescing)"
-bench_out=$(cargo run --release -q -p tut-bench --bin repro -- bench --quick)
-if ! grep -q "parallel single-run log_identical=true" <<< "$bench_out"; then
-    echo "repro bench --quick: parallel single-run log diverged from serial"; exit 1;
-fi
-if ! grep -q "calendar queue .* clears floor" <<< "$bench_out"; then
-    echo "repro bench --quick: calendar-queue microbench missed its floor"; exit 1;
-fi
-if ! grep -qE "coalescing: [0-9]+ fixed-step windows -> [0-9]+ adaptive windows" <<< "$bench_out"; then
-    echo "repro bench --quick: coalescing line missing from bench output"; exit 1;
-fi
+echo "==> repro bench --quick (throughput floor)"
+cargo run --release -q -p tut-bench --bin repro -- bench --quick
 
 echo "==> repro profile --quick --folded (self-profiler smoke)"
 folded_out=$(cargo run --release -q -p tut-bench --bin repro -- profile --quick --folded)
